@@ -7,13 +7,13 @@ occupy resources for their service time, and aggregate throughput is
 measured as completed tasks per second of makespan.
 
 The simulator is system-agnostic: schedulers implement the small
-:class:`Scheduler` protocol.  Pending tasks queue FIFO per model so results
-are deterministic.
+:class:`Scheduler` protocol.  Pending tasks queue FIFO per ``(model_key,
+tenant)`` in ``(arrival_s, task_id)`` order, so results are deterministic.
 
 Dispatch is incremental: when a model's task fails to start, the simulator
 records a *watermark* — the resource-state version it failed under plus the
 scheduler's earliest time-gate hint (:meth:`Scheduler.retry_hint`) — and
-skips every task of that model until resources change (an arrival, start or
+parks that model's queues until resources change (an arrival, start, drop or
 finish bumps the version) or the clock reaches the hint.  A skipped attempt
 is one the scheduler would provably have declined, so schedules (and
 therefore experiment outputs) are identical to exhaustive re-scanning while
@@ -22,12 +22,18 @@ the number of placement attempts drops by orders of magnitude.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Protocol
 
 from ..errors import SimulationError
 from ..perf.profiling import PROFILER
 from .events import EventQueue
+
+#: Order within one pending queue, and between queue heads of equal rank.
+_fifo_key = attrgetter("arrival_s", "task_id")
 
 
 @dataclass
@@ -78,9 +84,9 @@ class Scheduler(Protocol):
     def has_fast_path(self, task: Task) -> bool:
         """Optional: True when ``task`` can start without reconfiguration
         (an idle deployment of its model is resident).  The simulator serves
-        fast-path tasks first to preserve locality.  Must depend only on
-        ``task.model_key`` and scheduler state — the dispatch loop caches
-        the answer per model within one pass."""
+        fast-path queues first to preserve locality.  Must depend only on
+        ``task.model_key`` and scheduler state — it is asked once per queue
+        per pass, on the queue's head, and ranks the whole queue."""
 
     def retry_hint(self, task: Task, now: float) -> float:
         """Optional: after ``try_start`` declined ``task``, the earliest
@@ -106,11 +112,11 @@ class Scheduler(Protocol):
         no way to tell a waiting queue from a wedged one."""
 
     def dispatch_key(self, task: Task) -> tuple:
-        """Optional (tenancy layer): total dispatch order for one scan pass.
-        When present it *replaces* the :meth:`has_fast_path` locality sort —
-        the scheduler owns ordering entirely (priority classes, weighted
-        fair shares).  Like ``has_fast_path``, the key must be stable while
-        one pass's sort runs; state updated by starts feeds the next pass."""
+        """Optional (tenancy layer): the rank of ``task``'s queue for one
+        scan pass, asked once per queue on its head, so it may depend only on
+        ``(model_key, tenant)`` and scheduler state.  It *replaces* the
+        :meth:`has_fast_path` rank (priority classes, weighted fair shares);
+        the simulator breaks ties by ``(arrival_s, task_id)``."""
 
 
 @dataclass
@@ -152,21 +158,15 @@ class ClusterSimulator:
     #: Consecutive fruitless retries with nothing running => deadlock.
     MAX_IDLE_RETRIES = 64
 
-    #: Compact the pending list once this many tombstones accumulate (and
-    #: they outnumber the live entries) — keeps removal O(1) amortized.
-    COMPACT_THRESHOLD = 64
-
     def __init__(self, scheduler: Scheduler, system_name: str = "system"):
         self.scheduler = scheduler
         self.system_name = system_name
         self.queue = EventQueue()
-        self._pending: list[Task] = []
-        #: Task ids removed from the queue but not yet compacted out of
-        #: ``_pending``.  ``list.remove`` is O(n) per call, which turns the
-        #: dispatch loop quadratic at 100k-task backlogs; tombstoning keeps
-        #: each removal O(1) while preserving FIFO-per-model scan order
-        #: exactly (compaction only deletes, never reorders).
-        self._pending_dead: set[int] = set()
+        #: (model_key, tenant) -> its pending tasks in ``_fifo_key`` order.
+        self._queues: dict[tuple[str, str], list[Task]] = {}
+        #: Tasks preempted during a pass; a pass scans a snapshot, so they
+        #: rejoin their queues when the next pass starts.
+        self._requeued: list[Task] = []
         self._result = SimulationResult(system=system_name)
         self._dispatching = False
         self._running_count = 0
@@ -190,27 +190,22 @@ class ClusterSimulator:
         if bind is not None:
             bind(self)
 
-    # -- pending-queue bookkeeping ------------------------------------------------
+    # -- pending queues ------------------------------------------------------------
 
-    def _remove_pending(self, task: Task) -> None:
-        """Tombstone one queued task (O(1) amortized; order preserved)."""
-        self._pending_dead.add(task.task_id)
-        dead = len(self._pending_dead)
-        if dead >= self.COMPACT_THRESHOLD and dead * 2 > len(self._pending):
-            self._pending = [
-                t for t in self._pending if t.task_id not in self._pending_dead
-            ]
-            self._pending_dead.clear()
-
-    def _pending_tasks(self) -> list:
-        """Live queued tasks in arrival-scan order (tombstones elided)."""
-        if not self._pending_dead:
-            return list(self._pending)
-        return [t for t in self._pending if t.task_id not in self._pending_dead]
+    def _enqueue(self, task: Task) -> None:
+        queue = self._queues.setdefault((task.model_key, task.tenant), [])
+        insort(queue, task, key=_fifo_key)
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending) - len(self._pending_dead)
+        return sum(map(len, self._queues.values())) + len(self._requeued)
+
+    def _stuck(self, what: str) -> SimulationError:
+        models = sorted({model for model, _tenant in self._queues})
+        return SimulationError(
+            f"{self.system_name}: {self.pending_count} tasks {what} "
+            f"(models: {models})"
+        )
 
     # -- scheduler-driven events (live migrations) -------------------------------
 
@@ -241,11 +236,10 @@ class ClusterSimulator:
         """Abort a *running* task and requeue it (preemption).
 
         The task's already-scheduled finish event becomes stale (epoch
-        guard) and the task re-enters the pending queue immediately —
-        at its original scan position when its tombstone is still live,
-        at the tail otherwise.  The caller (the tenancy scheduler) is
-        responsible for the board-side teardown and for crediting any
-        checkpointed progress on the next start.
+        guard) and the task rejoins its queue at its ``(arrival_s,
+        task_id)`` position when the next dispatch pass starts.  The caller
+        (the tenancy scheduler) is responsible for the board-side teardown
+        and for crediting any checkpointed progress on the next start.
         """
         if task.start_s < 0 or task.finish_s >= 0:
             raise SimulationError(
@@ -254,12 +248,7 @@ class ClusterSimulator:
         self._run_epoch[task.task_id] = self._run_epoch.get(task.task_id, 0) + 1
         self._running_count -= 1
         task.start_s = -1.0
-        if task.task_id in self._pending_dead:
-            # Not yet compacted: resurrect the original queue entry so the
-            # per-model FIFO scan order is preserved exactly.
-            self._pending_dead.discard(task.task_id)
-        else:
-            self._pending.append(task)
+        self._requeued.append(task)
         PROFILER.incr("simulator.aborted_runs")
         self._resource_version += 1
         self._dispatch()
@@ -274,7 +263,7 @@ class ClusterSimulator:
             self._result.dropped.append(task)
             PROFILER.incr("simulator.admission_sheds")
             return
-        self._pending.append(task)
+        self._enqueue(task)
         # A new arrival changes queue pressure, which admission/expansion
         # policies observe — previously blocked models must be re-attempted.
         self._resource_version += 1
@@ -283,120 +272,107 @@ class ClusterSimulator:
     def _dispatch(self) -> None:
         """Start every pending task the scheduler can place right now.
 
-        Head-of-line blocking is intentional *per model class only*: we scan
-        the whole queue so a small task can slip past a blocked large one
-        (all three evaluated systems admit out-of-order placement), but
-        tasks of the same model stay FIFO because the scan preserves order.
+        Head-of-line blocking is intentional *per model class only*: a pass
+        visits every queue so a small task can slip past a blocked large one
+        (all three evaluated systems admit out-of-order placement), but each
+        queue stays FIFO.  Each queue is ranked once per pass, on its head,
+        and a heap merges the heads in ``(rank, arrival_s, task_id)`` order.
 
-        Tasks whose model is below its watermark — failed at this resource
-        version, clock still short of the scheduler's retry hint — are
-        skipped without consulting the scheduler: within one version the
-        scheduler's answer for that model cannot have changed, and same-model
-        tasks later in the scan hold strictly weaker time gates.
+        A queue whose model is below its watermark — failed at this resource
+        version, clock still short of the scheduler's retry hint — is parked
+        without consulting the scheduler: within one version the scheduler's
+        answer for that model cannot have changed, and same-model tasks
+        later in the scan hold strictly weaker time gates.  ``should_drop``
+        still sees every task, since it runs before the watermark check.
         """
         if self._dispatching:
             return  # avoid re-entrant scans from nested on_finish calls
         self._dispatching = True
+        rank_of = getattr(self.scheduler, "dispatch_key", None)
         fast_path = getattr(self.scheduler, "has_fast_path", None)
-        dispatch_key = getattr(self.scheduler, "dispatch_key", None)
+        if rank_of is None and fast_path is not None:
+            # Locality: resident models' queues go first, so a cold task
+            # never evicts a hot model out from under its queued work.
+            def rank_of(head):
+                return (not fast_path(head),)
         observe = getattr(self.scheduler, "observe_queue", None)
-        retry_hint = getattr(self.scheduler, "retry_hint", None)
         should_drop = getattr(self.scheduler, "should_drop", None)
+        queues = self._queues
+
+        def cursor(rank, queue, index, key):
+            head = queue[index]
+            return (rank, head.arrival_s, head.task_id, index, key)
+
         try:
             progress = True
             while progress:
                 progress = False
+                for task in self._requeued:
+                    self._enqueue(task)
+                self._requeued.clear()
                 if observe is not None:
                     # Give the scheduler a view of queue pressure per model
                     # (admission/expansion decisions need it).
                     counts: dict = {}
-                    for pending_task in self._pending:
-                        if pending_task.task_id in self._pending_dead:
-                            continue
-                        counts[pending_task.model_key] = (
-                            counts.get(pending_task.model_key, 0) + 1
-                        )
+                    for (model, _tenant), queue in queues.items():
+                        counts[model] = counts.get(model, 0) + len(queue)
                     observe(counts)
-                scan = self._pending_tasks()
-                if dispatch_key is not None:
-                    # The tenancy layer owns dispatch order outright:
-                    # priority classes first, weighted fair shares within
-                    # one class.  Key purity over a pass mirrors the
-                    # has_fast_path contract below.
-                    scan.sort(key=dispatch_key)
-                elif fast_path is not None:
-                    # Locality pass: tasks whose model is already resident
-                    # start first, so a cold task never evicts a hot model
-                    # out from under its queued work.  The answer is a pure
-                    # function of the model key and no state changes while
-                    # the sort runs, so it is resolved once per model per
-                    # pass — a deep backlog would otherwise pay a resident-
-                    # deployment scan per queued task per pass.
-                    fast_by_model: dict = {}
-                    for pending_task in scan:
-                        if pending_task.model_key not in fast_by_model:
-                            fast_by_model[pending_task.model_key] = bool(
-                                fast_path(pending_task)
-                            )
-                    scan.sort(
-                        key=lambda t: (
-                            not fast_by_model[t.model_key], t.arrival_s
-                        )
-                    )
+                heap = [
+                    cursor(rank_of(queue[0]) if rank_of else (), queue, 0, key)
+                    for key, queue in queues.items()
+                ]
+                heapify(heap)
+                parked: list = []
                 now = self.queue.now
-                for task in scan:
+                while heap:
+                    rank, arrival_s, task_id, index, key = heappop(heap)
+                    queue = queues[key]
+                    task = queue[index]
+                    version = self._resource_version
+                    watermark = self._blocked.get(task.model_key)
                     if should_drop is not None and should_drop(task, now):
                         # Dropped at dequeue (deadline expiry, exhausted
                         # retry budget): the task never occupies a board.
-                        # Checked before the watermark so an expiry is
-                        # never delayed by a blocked model's time gate.
-                        self._remove_pending(task)
+                        del queue[index]
                         self._result.dropped.append(task)
                         PROFILER.incr("simulator.dequeue_drops")
                         self._resource_version += 1
                         progress = True
                         self._idle_retries = 0
-                        continue
-                    watermark = self._blocked.get(task.model_key)
-                    if (
+                    elif (
                         watermark is not None
-                        and watermark[0] == self._resource_version
+                        and watermark[0] == version
                         and now < watermark[1]
                     ):
                         PROFILER.incr("simulator.watermark_skips")
-                        continue
-                    service = self.scheduler.try_start(task, now)
-                    PROFILER.incr("simulator.try_start_attempts")
-                    if service is None:
-                        hint = (
-                            retry_hint(task, now)
-                            if retry_hint is not None
-                            else now  # no hint: retry every pass (exhaustive)
-                        )
-                        self._blocked[task.model_key] = (
-                            self._resource_version,
-                            hint,
-                        )
-                        continue
-                    if service < 0:
-                        raise SimulationError(
-                            f"scheduler returned negative service time {service}"
-                        )
-                    self._remove_pending(task)
-                    task.start_s = now
-                    self._running_count += 1
-                    self._blocked.pop(task.model_key, None)
-                    # Starting a task reshapes resources (allocation, possible
-                    # evictions, queue depth): every watermark is stale.
-                    self._resource_version += 1
-                    self.queue.schedule_in(
-                        service,
-                        self._finish,
-                        task,
-                        self._run_epoch.get(task.task_id, 0),
-                    )
-                    progress = True
-                    self._idle_retries = 0
+                        if should_drop is None:
+                            parked.append((rank, index, key))
+                            continue
+                        index += 1
+                    elif self._start(task, now):
+                        del queue[index]
+                        progress = True
+                    else:
+                        index += 1
+                    if self._resource_version != version:
+                        # A start, a drop or a preemption inside try_start:
+                        # parked queues resume at their first task past here.
+                        for parked_rank, parked_index, parked_key in parked:
+                            parked_queue = queues[parked_key]
+                            if parked_rank == rank:
+                                parked_index = bisect_right(
+                                    parked_queue, (arrival_s, task_id),
+                                    parked_index, key=_fifo_key,
+                                )
+                            if parked_rank >= rank and parked_index < len(parked_queue):
+                                heappush(heap, cursor(
+                                    parked_rank, parked_queue, parked_index, parked_key
+                                ))
+                        parked.clear()
+                    if index < len(queue):
+                        heappush(heap, cursor(rank, queue, index, key))
+                    elif not queue:
+                        del queues[key]
         finally:
             self._dispatching = False
         if self.pending_count and not self._retry_scheduled:
@@ -408,14 +384,33 @@ class ClusterSimulator:
                 if not waiting:
                     self._idle_retries += 1
                     if self._idle_retries > self.MAX_IDLE_RETRIES:
-                        left = self._pending_tasks()
-                        stuck = sorted({t.model_key for t in left})
-                        raise SimulationError(
-                            f"{self.system_name}: {len(left)} tasks "
-                            f"stuck with an idle cluster (models: {stuck})"
-                        )
+                        raise self._stuck("stuck with an idle cluster")
             self._retry_scheduled = True
             self.queue.schedule_in(self.RETRY_INTERVAL_S, self._retry)
+
+    def _start(self, task: Task, now: float) -> bool:
+        """One placement attempt; a decline sets the model's watermark."""
+        service = self.scheduler.try_start(task, now)
+        PROFILER.incr("simulator.try_start_attempts")
+        if service is None:
+            retry_hint = getattr(self.scheduler, "retry_hint", None)
+            # No hint: retry every pass (exhaustive).
+            hint = now if retry_hint is None else retry_hint(task, now)
+            self._blocked[task.model_key] = (self._resource_version, hint)
+            return False
+        if service < 0:
+            raise SimulationError(f"scheduler returned negative service time {service}")
+        task.start_s = now
+        self._running_count += 1
+        self._blocked.pop(task.model_key, None)
+        # Starting a task reshapes resources (allocation, possible evictions,
+        # queue depth): every watermark is stale.
+        self._resource_version += 1
+        self.queue.schedule_in(
+            service, self._finish, task, self._run_epoch.get(task.task_id, 0)
+        )
+        self._idle_retries = 0
+        return True
 
     def _retry(self) -> None:
         self._retry_scheduled = False
@@ -446,11 +441,8 @@ class ClusterSimulator:
         self.queue.run()
         PROFILER.incr("simulator.events", self.queue.processed)
         if self.pending_count:
-            left = self._pending_tasks()
-            stuck = sorted({t.model_key for t in left})
-            raise SimulationError(
-                f"{self.system_name}: {len(left)} tasks never placed "
-                f"(models: {stuck}) — scheduler cannot serve this workload"
+            raise self._stuck(
+                "never placed — scheduler cannot serve this workload"
             )
         self._result.makespan_s = self.queue.now - min(t.arrival_s for t in tasks)
         return self._result

@@ -212,11 +212,10 @@ class TenantScheduler:
             bind(simulator)
 
     def dispatch_key(self, task: Task) -> tuple:
-        """Strict priority classes, fair-share virtual time within one,
-        arrival FIFO as the tiebreak."""
+        """Strict priority classes, fair-share virtual time within one (the
+        simulator breaks ties in arrival FIFO order)."""
         state = self._state(task.tenant)
-        return (-state.params.priority, state.vtime, task.arrival_s,
-                task.task_id)
+        return (-state.params.priority, state.vtime)
 
     def observe_queue(self, pending_by_model: dict) -> None:
         observe = getattr(self.inner, "observe_queue", None)

@@ -245,6 +245,36 @@ class _UnhintedTimeGatedScheduler(_TimeGatedScheduler):
     retry_hint = None
 
 
+class _PreemptAfterChurn:
+    """Hook-less scheduler: model "a" always starts, model "b" has one slot.
+    The first "a" placement at or after ``abort_at`` preempts the running
+    "b" task from inside ``try_start``, as the tenancy layer does."""
+
+    def __init__(self, abort_at):
+        self.abort_at = abort_at
+        self.simulator = None
+        self.preempted = False
+        self.b_running = None
+        self.b_starts = []
+
+    def try_start(self, task, now):
+        if task.model_key == "a":
+            if now >= self.abort_at and not self.preempted:
+                self.preempted = True
+                victim, self.b_running = self.b_running, None
+                self.simulator.abort_running(victim)
+            return 0.001
+        if self.b_running is not None:
+            return None
+        self.b_running = task
+        self.b_starts.append(task.task_id)
+        return 10.0
+
+    def on_finish(self, task, now):
+        if task is self.b_running:
+            self.b_running = None
+
+
 class TestOptionalSchedulerProtocol:
     """The simulator must work with and without the optional
     ``has_fast_path`` / ``retry_hint`` methods (discovered via getattr)."""
@@ -338,3 +368,27 @@ class TestClusterSimulator:
             task.size_class = "L"
         result = ClusterSimulator(scheduler, "t").run(tasks)
         assert result.per_class_counts() == {"L": 2, "S": 2}
+
+
+class TestPreemptionRequeue:
+    def test_requeued_task_keeps_its_fifo_slot_after_queue_churn(self):
+        """A preempted task rejoins its queue at its arrival position, ahead
+        of later same-model arrivals, however many other tasks have left
+        the queue in the meantime (here 100, past the 64 removals after
+        which a flat pending list used to compact)."""
+        tasks = [
+            Task(task_id=0, model_key="b", arrival_s=0.0),
+            Task(task_id=1, model_key="b", arrival_s=0.5),
+            Task(task_id=2, model_key="b", arrival_s=0.6),
+        ] + [
+            Task(task_id=3 + k, model_key="a", arrival_s=0.01 * (k + 1))
+            for k in range(100)
+        ]
+        tasks.sort(key=lambda t: (t.arrival_s, t.task_id))
+        scheduler = _PreemptAfterChurn(abort_at=1.0)
+        simulator = ClusterSimulator(scheduler, "t")
+        scheduler.simulator = simulator
+        result = simulator.run(tasks)
+        assert len(result.completed) == len(tasks)
+        # b0 is preempted at t=1.0 while b1 and b2 wait; it restarts first.
+        assert scheduler.b_starts == [0, 0, 1, 2]

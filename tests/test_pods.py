@@ -5,15 +5,15 @@ and the lazy candidate streams match a flat :class:`PlacementIndex` over
 the same boards, and whole simulated schedules are bit-identical pod vs
 flat), the two index-corruption regressions (stale/duplicate
 notifications must raise, not silently corrupt), the ring-adjacency
-service-estimate regression, the board-residency reverse index, the
-simulator's tombstone queue removal, and chaos storms across pods.
+service-estimate regression, the board-residency reverse index, and
+chaos storms across pods.
 """
 
 import random
 
 import pytest
 
-from repro.cluster import ClusterSimulator, Task, scaled_cluster
+from repro.cluster import ClusterSimulator, scaled_cluster
 from repro.cluster.topology import homogeneous_cluster, paper_cluster
 from repro.errors import AllocationError
 from repro.runtime import Catalog, build_system
@@ -237,48 +237,6 @@ class TestServiceEstimateAdjacency:
             plan, [(boards[2], image), (boards[3], image)]
         )
         assert len(controller._service_cache) == entries
-
-
-class _DeclineAll:
-    def try_start(self, task, now):
-        return None
-
-    def on_finish(self, task, now):
-        pass
-
-
-class TestTombstoneRemoval:
-    def _simulator_with_pending(self, count):
-        simulator = ClusterSimulator(_DeclineAll())
-        tasks = [
-            Task(task_id=i, model_key=f"m{i % 3}", arrival_s=float(i))
-            for i in range(count)
-        ]
-        simulator._pending.extend(tasks)
-        return simulator, tasks
-
-    def test_removal_preserves_scan_order(self):
-        simulator, tasks = self._simulator_with_pending(10)
-        for task in tasks[2:5]:
-            simulator._remove_pending(task)
-        assert [t.task_id for t in simulator._pending_tasks()] == [
-            0, 1, 5, 6, 7, 8, 9
-        ]
-        assert simulator.pending_count == 7
-
-    def test_compaction_triggers_and_preserves_order(self):
-        simulator, tasks = self._simulator_with_pending(200)
-        rng = random.Random(4)
-        removed = set()
-        for task in rng.sample(tasks, 150):
-            simulator._remove_pending(task)
-            removed.add(task.task_id)
-        # Tombstones outnumber live entries well past the threshold: the
-        # backing list must have been compacted.
-        assert len(simulator._pending_dead) < 150
-        expected = [t.task_id for t in tasks if t.task_id not in removed]
-        assert [t.task_id for t in simulator._pending_tasks()] == expected
-        assert simulator.pending_count == 50
 
 
 class TestPodFlatScheduleEquivalence:
