@@ -33,12 +33,14 @@ each lane through the scalar simulator:
 Memory
 ------
 
-Lane DRAMs are paged (:class:`BatchedDRAM`): pages written identically to
-every lane (the weight/bias image of an identical deployment) are stored
-once and shared; only lane-varying pages (inputs, outputs) are
-materialised per lane.  A shared matrix region loads into one ``(rows,
-cols)`` MRF entry consumed by the dgemm fast path — the in-simulator
-analogue of amortising one compiled artifact across many requests.
+Lane DRAMs are paged (:class:`BatchedDRAM`, on the scalar
+:class:`~repro.accel.functional.DRAM`'s page model): pages written
+identically to every lane (the weight/bias image of an identical
+deployment) are stored once and shared; only lane-varying pages (inputs,
+outputs) are materialised per lane.  A shared matrix region loads into
+one ``(rows, cols)`` MRF entry consumed by the dgemm fast path — the
+in-simulator analogue of amortising one compiled artifact across many
+requests.
 
 Fallback
 --------
@@ -62,14 +64,13 @@ from ..isa.instructions import Instruction, Op
 from ..isa.program import Program
 from ..perf.profiling import PROFILER
 from .functional import (
+    PAGE_WORDS,
     FunctionalSimulator,
     ScaleOutFabric,
     SimStats,
     _sigmoid,
+    page_spans,
 )
-
-#: Words per DRAM page (64 Ki words = 512 KiB of float64 per lane-page).
-PAGE_WORDS = 1 << 16
 
 #: Float64 unit roundoff.
 _UNIT = 2.0 ** -53
@@ -118,16 +119,7 @@ class BatchedDRAM:
         return page
 
     def _spans(self, addr: int, length: int):
-        """Yield ``(page_number, page_offset, start, stop)`` chunks."""
-        if addr < 0:
-            raise ExecutionError(f"negative DRAM address {addr}")
-        offset = 0
-        while offset < length:
-            at = addr + offset
-            number, page_offset = divmod(at, self.page_words)
-            chunk = min(length - offset, self.page_words - page_offset)
-            yield number, page_offset, offset, offset + chunk
-            offset += chunk
+        return page_spans(addr, length, self.page_words)
 
     # -- writes --------------------------------------------------------------
 
@@ -449,7 +441,9 @@ class BatchedFunctionalSimulator:
         error interval could round differently in float16.
         """
         quantised = bfp_quantize(vecs, self.fmt)
-        out = quantised @ matrix.T
+        # ``A @ X.T`` lets BLAS read the row-major matrix without a
+        # transpose (faster than ``X @ A.T``); ``.T`` is a free view.
+        out = (matrix @ quantised.T).T
         # Per-element bound on |any-order dot - this dot|:
         #   E = 2 * gamma(cols) * max|x_lane| * sum_k |A[row, k]|
         bound = _gamma(matrix.shape[1]) * np.abs(quantised).max(

@@ -28,35 +28,53 @@ def _sigmoid(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-values))
 
 
+#: Words per DRAM page (64 Ki words = 512 KiB of float64).
+PAGE_WORDS = 1 << 16
+
+
+def page_spans(addr: int, length: int, page_words: int = PAGE_WORDS):
+    """Split a ``length``-word access at ``addr`` into page chunks.
+
+    Yields ``(page_number, page_offset, start, stop)``: words
+    ``start:stop`` of the access live at ``page_offset`` of page
+    ``page_number``.  The one page model of both the scalar :class:`DRAM`
+    and the batched simulator's lane DRAMs.
+    """
+    if addr < 0:
+        raise ExecutionError(f"negative DRAM address {addr}")
+    offset = 0
+    while offset < length:
+        number, page_offset = divmod(addr + offset, page_words)
+        chunk = min(length - offset, page_words - page_offset)
+        yield number, page_offset, offset, offset + chunk
+        offset += chunk
+
+
 class DRAM:
-    """A flat word-addressable vector memory (one float per word)."""
+    """A paged word-addressable vector memory (one float per word).
 
-    def __init__(self, initial_words: int = 1 << 16):
-        self._data = np.zeros(initial_words, dtype=np.float64)
+    ``pages`` maps a page number to its ``PAGE_WORDS`` words; a page is
+    allocated on its first write and unwritten words read as zero, so the
+    memory holds only the state a program has actually written.
+    """
 
-    def _ensure(self, words: int) -> None:
-        # Geometric (doubling) growth: amortises incremental writes at
-        # increasing addresses to O(n) total copy instead of O(n^2).
-        if words > self._data.size:
-            grown = np.zeros(max(words, self._data.size * 2), dtype=np.float64)
-            grown[: self._data.size] = self._data
-            self._data = grown
+    def __init__(self):
+        self.pages: dict[int, np.ndarray] = {}
 
     def write(self, addr: int, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).ravel()
-        self._ensure(addr + values.size)
-        self._data[addr : addr + values.size] = values
+        for number, page_offset, start, stop in page_spans(addr, values.size):
+            page = self.pages.get(number)
+            if page is None:
+                page = self.pages[number] = np.zeros(PAGE_WORDS, dtype=np.float64)
+            page[page_offset : page_offset + (stop - start)] = values[start:stop]
 
     def read(self, addr: int, length: int) -> np.ndarray:
-        # Reads never allocate: words beyond the written extent are zero
-        # (the value they would have after _ensure) without growing the
-        # backing store.
-        if addr + length <= self._data.size:
-            return self._data[addr : addr + length].copy()
         out = np.zeros(length, dtype=np.float64)
-        have = max(0, self._data.size - addr)
-        if have:
-            out[:have] = self._data[addr : addr + have]
+        for number, page_offset, start, stop in page_spans(addr, length):
+            page = self.pages.get(number)
+            if page is not None:
+                out[start:stop] = page[page_offset : page_offset + (stop - start)]
         return out
 
 

@@ -2,11 +2,11 @@
 
 A checkpoint is taken at an instruction boundary and captures exactly the
 state the ISA defines: the vector and matrix register files, the program
-counter with its loop stack, the replica's DRAM contents, and the dynamic
-execution counters.  For scale-out deployments the synchronisation fabric
-is checkpointed alongside the replicas, so slices that were sent but not
-yet combined (the in-flight queue) survive the move instead of needing a
-barrier drain.
+counter with its loop stack, the replica's written DRAM pages, and the
+dynamic execution counters.  For scale-out deployments the synchronisation
+fabric is checkpointed alongside the replicas, so slices that were sent but
+not yet combined (the in-flight queue) survive the move instead of needing
+a barrier drain.
 
 Snapshots are device-type agnostic by construction — nothing in them names
 a board or an instance — which is what lets the migration engine resume a
@@ -16,11 +16,21 @@ The state-size *model* (:func:`architectural_state_bytes`) estimates a
 replica's transferable state from the accelerator config (and, when known,
 the program's register footprint) without materialising a snapshot; the
 migration engine charges ring-transfer time against it.
+
+The wire format (version 2) is binary: an 8-byte magic, the version and
+the header length as little-endian uint32s, a JSON header holding the
+scalar fields plus a manifest of ``[name, shape]`` per array, then every
+array's raw little-endian float64 bytes in manifest order.  Only written
+DRAM pages travel, so the blob is sized by the state that exists, not by
+the highest address ever touched.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +45,11 @@ ACTIVATION_BYTES = 2
 #: Fixed control state: program counter, loop stack, status registers.
 CONTROL_STATE_BYTES = 256
 
-_SERIAL_VERSION = 1
+_MAGIC = b"REPROCKP"
+_SERIAL_VERSION = 2
+#: Version and JSON-header length, after the magic.
+_PREFIX = struct.Struct("<II")
+_WIRE_DTYPE = np.dtype("<f8")
 
 
 def architectural_state_bytes(
@@ -74,19 +88,71 @@ def architectural_state_bytes(
     return int(vrf_bytes + matrix_bits // 8 + CONTROL_STATE_BYTES)
 
 
-def _encode_array(values: np.ndarray) -> list:
-    return np.asarray(values, dtype=np.float64).ravel().tolist()
+def _encode(header: dict, arrays: dict) -> bytes:
+    """Serialise ``header`` (JSON-able scalars) and ``arrays`` (name ->
+    array) into one version-2 blob."""
+    payloads = [np.ascontiguousarray(a, dtype=_WIRE_DTYPE) for a in arrays.values()]
+    manifest = [[name, list(a.shape)] for name, a in zip(arrays, payloads)]
+    head = json.dumps({**header, "arrays": manifest}).encode()
+    return b"".join(
+        [_MAGIC, _PREFIX.pack(_SERIAL_VERSION, len(head)), head, *payloads]
+    )
 
 
-def _array_field(registers: dict) -> dict:
-    return {str(index): _encode_array(values) for index, values in registers.items()}
+@contextmanager
+def _well_formed(what: str):
+    """Report a blob that decodes into the wrong structure as a
+    :class:`ReproError` rather than the lookup/conversion error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ReproError(f"malformed {what}: {exc!r}") from None
 
 
-def _decode_registers(payload: dict) -> dict:
-    return {
-        int(index): np.asarray(values, dtype=np.float64)
-        for index, values in payload.items()
-    }
+def _decode(blob: bytes) -> tuple:
+    """``(header, arrays)`` of a blob written by :func:`_encode`.
+
+    Arrays are copied out of ``blob``, so none of them aliases it.
+    """
+    if blob[: len(_MAGIC)] != _MAGIC:
+        raise ReproError(
+            f"not a version-{_SERIAL_VERSION} checkpoint blob "
+            f"(starts {blob[:len(_MAGIC)]!r})"
+        )
+    start = len(_MAGIC) + _PREFIX.size
+    if len(blob) < start:
+        raise ReproError(f"checkpoint blob truncated to {len(blob)} bytes")
+    version, head_length = _PREFIX.unpack_from(blob, len(_MAGIC))
+    if version != _SERIAL_VERSION:
+        raise ReproError(
+            f"unsupported checkpoint version {version} "
+            f"(expected {_SERIAL_VERSION})"
+        )
+    offset = start + head_length
+    with _well_formed("checkpoint header"):
+        header = json.loads(blob[start:offset])
+        manifest = [
+            (str(name), tuple(int(n) for n in shape))
+            for name, shape in header.pop("arrays")
+        ]
+        if any(n < 0 for _, shape in manifest for n in shape):
+            raise ValueError("negative array dimension")
+    sizes = [math.prod(shape) for _, shape in manifest]
+    expected = offset + _WIRE_DTYPE.itemsize * sum(sizes)
+    if len(blob) != expected:
+        raise ReproError(
+            f"checkpoint blob is {len(blob)} bytes, its manifest "
+            f"describes {expected}"
+        )
+    arrays = {}
+    for (name, shape), size in zip(manifest, sizes):
+        arrays[name] = np.frombuffer(
+            blob, dtype=_WIRE_DTYPE, count=size, offset=offset
+        ).reshape(shape).copy()
+        offset += size * _WIRE_DTYPE.itemsize
+    if len(arrays) != len(manifest):
+        raise ReproError("checkpoint manifest repeats an array name")
+    return header, arrays
 
 
 @dataclass
@@ -103,8 +169,8 @@ class AcceleratorCheckpoint:
     #: Matrix registers as ``index -> (rows x cols) array`` (BFP-quantised
     #: values exactly as resident on chip).
     mrf: dict = field(default_factory=dict)
-    #: DRAM contents up to the high-water mark.
-    dram: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: Written DRAM pages as ``page_number -> (PAGE_WORDS,) array``.
+    dram: dict = field(default_factory=dict)
     stats: SimStats = field(default_factory=SimStats)
 
     # -- capture/restore -----------------------------------------------------
@@ -112,8 +178,6 @@ class AcceleratorCheckpoint:
     @classmethod
     def capture(cls, sim: FunctionalSimulator) -> "AcceleratorCheckpoint":
         """Snapshot ``sim`` between instructions (any PC is a boundary)."""
-        data = sim.dram._data
-        high_water = int(np.max(np.nonzero(data)[0])) + 1 if np.any(data) else 0
         return cls(
             program_name=sim.program.name,
             replica_index=sim.replica_index,
@@ -122,7 +186,7 @@ class AcceleratorCheckpoint:
             loop_stack=[list(frame) for frame in sim.loop_stack],
             vrf={index: values.copy() for index, values in sim.vrf.items()},
             mrf={index: values.copy() for index, values in sim.mrf.items()},
-            dram=data[:high_water].copy(),
+            dram={number: page.copy() for number, page in sim.dram.pages.items()},
             stats=SimStats(**vars(sim.stats)),
         )
 
@@ -151,57 +215,44 @@ class AcceleratorCheckpoint:
         sim.loop_stack = [list(frame) for frame in self.loop_stack]
         sim.vrf = {index: values.copy() for index, values in self.vrf.items()}
         sim.mrf = {index: values.copy() for index, values in self.mrf.items()}
-        if self.dram.size:
-            sim.dram.write(0, self.dram)
+        sim.dram.pages = {number: page.copy() for number, page in self.dram.items()}
         sim.stats = SimStats(**vars(self.stats))
         return sim
 
     # -- serialisation -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        payload = {
-            "version": _SERIAL_VERSION,
+        header = {
             "program_name": self.program_name,
             "replica_index": self.replica_index,
             "pc": self.pc,
             "halted": self.halted,
             "loop_stack": [list(frame) for frame in self.loop_stack],
-            "vrf": _array_field(self.vrf),
-            "mrf": {
-                str(index): {
-                    "shape": list(values.shape),
-                    "data": _encode_array(values),
-                }
-                for index, values in self.mrf.items()
-            },
-            "dram": _encode_array(self.dram),
             "stats": vars(self.stats),
         }
-        return json.dumps(payload).encode()
+        arrays = {}
+        for kind in ("vrf", "mrf", "dram"):
+            for index, values in getattr(self, kind).items():
+                arrays[f"{kind}/{index}"] = values
+        return _encode(header, arrays)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AcceleratorCheckpoint":
-        payload = json.loads(blob.decode())
-        if payload.get("version") != _SERIAL_VERSION:
-            raise ReproError(
-                f"unsupported checkpoint version {payload.get('version')!r}"
+        header, arrays = _decode(blob)
+        with _well_formed("accelerator checkpoint"):
+            state = {"vrf": {}, "mrf": {}, "dram": {}}
+            for name, values in arrays.items():
+                kind, index = name.split("/")
+                state[kind][int(index)] = values
+            return cls(
+                program_name=header["program_name"],
+                replica_index=header["replica_index"],
+                pc=header["pc"],
+                halted=header["halted"],
+                loop_stack=[list(frame) for frame in header["loop_stack"]],
+                stats=SimStats(**header["stats"]),
+                **state,
             )
-        return cls(
-            program_name=payload["program_name"],
-            replica_index=payload["replica_index"],
-            pc=payload["pc"],
-            halted=payload["halted"],
-            loop_stack=[list(frame) for frame in payload["loop_stack"]],
-            vrf=_decode_registers(payload["vrf"]),
-            mrf={
-                int(index): np.asarray(
-                    entry["data"], dtype=np.float64
-                ).reshape(entry["shape"])
-                for index, entry in payload["mrf"].items()
-            },
-            dram=np.asarray(payload["dram"], dtype=np.float64),
-            stats=SimStats(**payload["stats"]),
-        )
 
     def payload_bytes(self) -> int:
         """Measured serialised size (the model above estimates this)."""
@@ -253,37 +304,40 @@ class FabricCheckpoint:
         return fabric
 
     def to_bytes(self) -> bytes:
-        payload = {
-            "version": _SERIAL_VERSION,
+        header = {
             "replicas": self.replicas,
-            "sends": {
-                str(addr): [[_encode_array(s) for s in queue] for queue in queues]
+            "queue_lengths": {
+                str(addr): [len(queue) for queue in queues]
                 for addr, queues in self.sends.items()
             },
             "recv_rounds": self.recv_rounds,
             "bytes_transferred": self.bytes_transferred,
         }
-        return json.dumps(payload).encode()
+        arrays = {
+            f"sends/{addr}/{replica}/{position}": values
+            for addr, queues in self.sends.items()
+            for replica, queue in enumerate(queues)
+            for position, values in enumerate(queue)
+        }
+        return _encode(header, arrays)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FabricCheckpoint":
-        payload = json.loads(blob.decode())
-        if payload.get("version") != _SERIAL_VERSION:
-            raise ReproError(
-                f"unsupported checkpoint version {payload.get('version')!r}"
+        header, arrays = _decode(blob)
+        with _well_formed("fabric checkpoint"):
+            return cls(
+                replicas=header["replicas"],
+                sends={
+                    int(addr): [
+                        [arrays[f"sends/{addr}/{replica}/{position}"]
+                         for position in range(length)]
+                        for replica, length in enumerate(lengths)
+                    ]
+                    for addr, lengths in header["queue_lengths"].items()
+                },
+                recv_rounds=[list(t) for t in header["recv_rounds"]],
+                bytes_transferred=header["bytes_transferred"],
             )
-        return cls(
-            replicas=payload["replicas"],
-            sends={
-                int(addr): [
-                    [np.asarray(s, dtype=np.float64) for s in queue]
-                    for queue in queues
-                ]
-                for addr, queues in payload["sends"].items()
-            },
-            recv_rounds=[list(t) for t in payload["recv_rounds"]],
-            bytes_transferred=payload["bytes_transferred"],
-        )
 
 
 def checkpoint_scaleout(sims: list, fabric: ScaleOutFabric) -> tuple:

@@ -14,6 +14,7 @@ from repro.accel.codegen import (
 )
 from repro.accel.functional import (
     DRAM,
+    PAGE_WORDS,
     FunctionalSimulator,
     ScaleOutFabric,
     run_program,
@@ -32,12 +33,33 @@ class TestDRAM:
         assert np.array_equal(dram.read(100, 8), np.arange(8.0))
 
     def test_grows_on_demand(self):
-        dram = DRAM(initial_words=4)
+        dram = DRAM()
         dram.write(1_000_000, np.ones(16))
         assert dram.read(1_000_000, 16).sum() == 16
 
     def test_unwritten_reads_zero(self):
         assert DRAM().read(5, 3).sum() == 0.0
+
+    def test_allocates_only_written_pages(self):
+        dram = DRAM()
+        dram.write(PAGE_WORDS - 2, np.arange(4.0))  # straddles pages 0 and 1
+        dram.write(0x0100_0000, np.ones(2))
+        assert sorted(dram.pages) == [0, 1, 0x0100_0000 // PAGE_WORDS]
+        assert np.array_equal(dram.read(PAGE_WORDS - 2, 4), np.arange(4.0))
+
+    def test_negative_read_rejected(self):
+        dram = DRAM()
+        dram.write(65530, np.arange(6.0))
+        with pytest.raises(ExecutionError, match="negative DRAM address"):
+            dram.read(-6, 2)
+
+    def test_negative_write_rejected(self):
+        dram = DRAM()
+        dram.write(65530, np.arange(6.0))
+        for addr, values in ((-6, np.full(2, 9.0)), (-2, np.ones(4))):
+            with pytest.raises(ExecutionError, match="negative DRAM address"):
+                dram.write(addr, values)
+        assert np.array_equal(dram.read(65530, 6), np.arange(6.0))
 
     def test_matrix_flattened(self):
         dram = DRAM()

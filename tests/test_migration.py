@@ -15,8 +15,18 @@ The subsystem is off by default; the last test class pins that.
 import numpy as np
 import pytest
 
-from repro.accel.codegen import OUT_BASE, GRUCodegen, build_scaleout_programs
-from repro.accel.functional import FunctionalSimulator, run_program
+from repro.accel.codegen import (
+    OUT_BASE,
+    GRUCodegen,
+    build_scaleout_programs,
+    make_codegen,
+)
+from repro.accel.functional import (
+    PAGE_WORDS,
+    FunctionalSimulator,
+    ScaleOutFabric,
+    run_program,
+)
 from repro.cluster import ClusterSimulator, Task, paper_cluster
 from repro.errors import AllocationError, DeploymentError, ReproError
 from repro.isa.assembler import assemble
@@ -36,6 +46,7 @@ from repro.runtime import Catalog, build_system
 from repro.runtime.controller import SystemController
 from repro.runtime.deployment import DeploymentState
 from repro.vital import LowLevelController, VitalCompiler
+from repro.workloads.deepbench import model_by_key
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +127,17 @@ class TestAcceleratorCheckpoint:
         sim.run()  # keeps mutating v0 after the snapshot
         assert np.array_equal(checkpoint.vrf[0], before)
 
+    def test_capture_and_restore_copy_dram_pages(self):
+        sim = self._mid_loop_sim()
+        checkpoint = AcceleratorCheckpoint.capture(sim)
+        before = {number: page.copy() for number, page in checkpoint.dram.items()}
+        restored = checkpoint.restore(assemble(LOOP_SOURCE, name="loopy"))
+        sim.run()
+        restored.run()  # both keep writing 0x80 after the snapshot
+        assert checkpoint.dram.keys() == before.keys()
+        for number, page in before.items():
+            assert np.array_equal(checkpoint.dram[number], page)
+
     def test_serialise_roundtrip(self):
         checkpoint = AcceleratorCheckpoint.capture(self._mid_loop_sim())
         clone = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes())
@@ -123,7 +145,9 @@ class TestAcceleratorCheckpoint:
         assert clone.loop_stack == checkpoint.loop_stack
         for register, values in checkpoint.vrf.items():
             assert np.array_equal(clone.vrf[register], values)
-        assert np.array_equal(clone.dram, checkpoint.dram)
+        assert clone.dram.keys() == checkpoint.dram.keys()
+        for number, page in checkpoint.dram.items():
+            assert np.array_equal(clone.dram[number], page)
         assert vars(clone.stats) == vars(checkpoint.stats)
         assert checkpoint.payload_bytes() == len(checkpoint.to_bytes())
 
@@ -147,9 +171,105 @@ class TestAcceleratorCheckpoint:
 
     def test_unknown_version_rejected(self):
         blob = AcceleratorCheckpoint.capture(self._mid_loop_sim()).to_bytes()
-        tampered = blob.replace(b'"version": 1', b'"version": 99')
+        # The version is the little-endian uint32 after the 8-byte magic.
+        tampered = blob[:8] + (99).to_bytes(4, "little") + blob[12:]
         with pytest.raises(ReproError, match="version"):
             AcceleratorCheckpoint.from_bytes(tampered)
+
+
+class TestWireFormat:
+    """The binary paged wire against the state-size model.
+
+    The wire ships float64 words; the model charges the register files at
+    their on-chip widths.  On a mid-program ``gru-h512-t1`` snapshot the
+    wire is ~18.9x the model, and nearly all of that is the weights
+    travelling twice as float64: once in the written DRAM pages and once
+    as the resident matrix registers, each ~64/7 times the model's
+    ``weight_bits = 7`` per weight.  Skipping weight pages the destination
+    can reload from the catalog would remove one of the two copies.
+    """
+
+    @pytest.fixture(scope="class")
+    def gru_mid_program(self, shared_catalog):
+        spec = model_by_key("gru-h512-t1")
+        gen = make_codegen(spec.kind, spec.real_weights(seed=0), spec.timesteps)
+        program = gen.build()
+        sim = FunctionalSimulator(program)
+        gen.preload(sim, np.random.default_rng(0).normal(
+            0.0, 1.0, (spec.timesteps, spec.effective_input_dim)
+        ))
+        while sim.stats.instructions < len(program.instructions) // 2:
+            sim.step()
+        plan = shared_catalog.entry(spec).sorted_plans()[0]
+        config = plan.images[sorted(plan.images)[0]].instance
+        return AcceleratorCheckpoint.capture(sim), config, program
+
+    def test_wire_to_model_ratio_bounded(self, gru_mid_program):
+        checkpoint, config, program = gru_mid_program
+        ratio = checkpoint.payload_bytes() / architectural_state_bytes(
+            config, program
+        )
+        assert 1.0 <= ratio <= 20.0
+
+    def test_wire_is_pages_registers_and_header(self, gru_mid_program):
+        checkpoint = gru_mid_program[0]
+        words = len(checkpoint.dram) * PAGE_WORDS + sum(
+            values.size
+            for registers in (checkpoint.vrf, checkpoint.mrf)
+            for values in registers.values()
+        )
+        assert checkpoint.payload_bytes() <= 8 * words + 4096
+
+    def test_decoded_arrays_own_their_memory(self, gru_mid_program):
+        checkpoint = gru_mid_program[0]
+        clone = AcceleratorCheckpoint.from_bytes(checkpoint.to_bytes())
+        assert clone.dram.keys() == checkpoint.dram.keys()
+        for arrays in (clone.vrf, clone.mrf, clone.dram):
+            for values in arrays.values():
+                assert values.flags.owndata and values.flags.writeable
+
+
+def _fabric_blob() -> bytes:
+    fabric = ScaleOutFabric(2)
+    fabric.send(0, 0x10, np.arange(4.0))
+    return FabricCheckpoint.capture(fabric).to_bytes()
+
+
+class TestMalformedBlobs:
+    BLOBS = {
+        "accelerator": (
+            AcceleratorCheckpoint,
+            lambda: AcceleratorCheckpoint.capture(
+                FunctionalSimulator(assemble(LOOP_SOURCE, name="loopy"))
+            ).to_bytes(),
+        ),
+        "fabric": (FabricCheckpoint, _fabric_blob),
+    }
+    TAMPERS = {
+        "bad_magic": lambda blob: b"NOTACKPT" + blob[8:],
+        "version_1": lambda blob: blob[:8] + (1).to_bytes(4, "little") + blob[12:],
+        "version_3": lambda blob: blob[:8] + (3).to_bytes(4, "little") + blob[12:],
+        "v1_json": lambda blob: b'{"version": 1, "replicas": 2, "dram": []}',
+        "truncated": lambda blob: blob[:-1],
+        "trailing": lambda blob: blob + b"\x00",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BLOBS))
+    def test_roundtrip_accepts_untampered(self, kind):
+        cls, make = self.BLOBS[kind]
+        blob = make()
+        assert cls.from_bytes(blob).to_bytes() == blob
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    @pytest.mark.parametrize("kind", sorted(BLOBS))
+    def test_rejected_as_repro_error(self, kind, tamper):
+        cls, make = self.BLOBS[kind]
+        with pytest.raises(ReproError):
+            cls.from_bytes(self.TAMPERS[tamper](make()))
+
+    def test_blob_of_the_other_kind_rejected(self):
+        with pytest.raises(ReproError, match="malformed"):
+            AcceleratorCheckpoint.from_bytes(_fabric_blob())
 
 
 class TestScaleOutCheckpoint:
