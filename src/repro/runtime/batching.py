@@ -41,6 +41,13 @@ from ..errors import ReproError
 from ..perf.profiling import PROFILER
 from ..workloads.deepbench import model_by_key
 
+#: ``(model_key, weight_seed) -> RNNWeights``, generated once per process
+#: and shared by every executor, so the arrays are read-only.  Shared, not
+#: per executor: a run's executor sits in reference cycles with its
+#: scheduler, so a private copy would stay alive until the next full
+#: garbage collection.
+_WEIGHTS: dict = {}
+
 
 @dataclass(frozen=True)
 class BatchingParameters:
@@ -101,18 +108,19 @@ class BatchExecutor:
         self._groups: dict[tuple, list] = {}
         #: task_id -> group key, while the task waits.
         self._waiting: dict[int, tuple] = {}
-        self._weights: dict[str, object] = {}
         self._codegens: dict[tuple, object] = {}
         self.stats = BatchingStats()
 
     # -- model artifacts (memoised per model/width) --------------------------
 
     def _weights_for(self, model_key: str):
-        weights = self._weights.get(model_key)
+        key = (model_key, self.params.weight_seed)
+        weights = _WEIGHTS.get(key)
         if weights is None:
-            spec = model_by_key(model_key)
-            weights = spec.real_weights(seed=self.params.weight_seed)
-            self._weights[model_key] = weights
+            weights = model_by_key(model_key).real_weights(seed=self.params.weight_seed)
+            for array in weights.w + weights.u + weights.b:
+                array.flags.writeable = False
+            _WEIGHTS[key] = weights
         return weights
 
     def _codegen_for(self, model_key: str, replicas: int, replica_index: int):

@@ -6,11 +6,19 @@ compiled through the full offline pipeline: instance sizing -> RTL
 generation -> decomposition -> ViTAL compilation per device type.  Results
 are cached two ways:
 
-* per ``(tile count, device type)`` for generated/decomposed designs — the
-  paper's "10 different accelerator instances" are exactly this dedupe, and
-* content-addressed bitstreams in the shared
+* generated and decomposed designs live in one process-wide store,
+  :data:`DESIGN_STORE`, content-addressed by the frozen
+  :class:`~repro.accel.config.AcceleratorConfig`.  The paper's "10
+  different accelerator instances" are exactly its entries: each is
+  generated and decomposed once per process, however many catalogs ask
+  for it (every Fig. 12 simulation builds its own catalog).  Stored
+  decompositions are shared by every catalog and therefore read-only, and
+  the store keeps no RTL ``Design``, only its decomposition and demand.
+* content-addressed bitstreams in each catalog's
   :class:`~repro.vital.bitstream.BitstreamStore`, which is what amortises
   scale-down compilation across instances (Section 4.3's 24.6% figure).
+  ViTAL compilation still runs per catalog, so that accounting is
+  unchanged by the design store.
 """
 
 from __future__ import annotations
@@ -26,6 +34,16 @@ from ..errors import CompileError, ReproError
 from ..perf.latency import BASE_INSTANCES, demand_sized_instance
 from ..vital.compiler import VitalCompiler
 from ..workloads.deepbench import ModelSpec
+
+#: The design store: ``AcceleratorConfig -> (DecomposedAccelerator,
+#: demand)``, where ``demand`` is the decomposition's ``total_resources()``.
+#: Read-only once stored: every catalog in the process shares each entry.
+DESIGN_STORE: dict = {}
+
+
+def clear_design_store() -> None:
+    """Empty the design store, so the next catalog builds start cold."""
+    DESIGN_STORE.clear()
 
 
 @dataclass(frozen=True)
@@ -104,12 +122,13 @@ class Catalog:
         self.max_replicas = max_replicas
         self.weight_bits = weight_bits or BASE_INSTANCES["XCVU37P"].weight_bits
         self._entries: dict[str, CatalogEntry] = {}
-        # (tiles, device_type) -> (decomposed, partition tree)
-        self._design_cache: dict = {}
+        # Configs of the design-store entries this catalog has used.
+        self._instances: set = set()
         # (model_key, device_type) -> min virtual blocks over any plan image
         self._min_blocks_cache: dict = {}
         # (model_key, device_type, free_blocks) -> bool
         self._feasibility_cache: dict = {}
+        #: Design-store misses: instances this catalog generated itself.
         self.designs_generated = 0
 
     # -- public API ------------------------------------------------------------
@@ -182,9 +201,21 @@ class Catalog:
         return sorted(types)
 
     def instance_count(self) -> int:
-        """Distinct accelerator instances generated so far (the paper's
-        "10 different accelerator instances" inventory)."""
-        return len(self._design_cache)
+        """Distinct accelerator instances this catalog has used (the
+        paper's "10 different accelerator instances" inventory), whether
+        it generated them or found them in the design store."""
+        return len(self._instances)
+
+    def design(self, config: AcceleratorConfig) -> tuple:
+        """``(decomposed, demand)`` for ``config`` from the design store,
+        generating and decomposing the instance on a miss."""
+        stored = DESIGN_STORE.get(config)
+        if stored is None:
+            decomposed = decompose(generate_accelerator(config), CONTROL_MODULES)
+            stored = DESIGN_STORE[config] = (decomposed, decomposed.total_resources())
+            self.designs_generated += 1
+        self._instances.add(config)
+        return stored
 
     # -- construction ------------------------------------------------------------------
 
@@ -231,14 +262,7 @@ class Catalog:
         self, spec: ModelSpec, config: AcceleratorConfig, device_type: str
     ) -> ReplicaImage | None:
         device = self.compiler.devices[device_type]
-        cache_key = (config.tiles, device_type)
-        if cache_key not in self._design_cache:
-            design = generate_accelerator(config)
-            decomposed = decompose(design, CONTROL_MODULES)
-            self._design_cache[cache_key] = decomposed
-            self.designs_generated += 1
-        decomposed = self._design_cache[cache_key]
-        demand = decomposed.total_resources()
+        decomposed, demand = self.design(config)
         try:
             image, _bitstream, _cached = self.compiler.compile_cluster(
                 accelerator=f"bw-t{config.tiles}",

@@ -109,11 +109,14 @@ class ServingFrontend:
             for fpga_id in self.cluster.boards
         }
         self._boards_by_type: dict[str, list] = {}
+        self._total_blocks = 0
+        #: Free blocks over every board, kept exact by occupancy notifications.
+        self._free_blocks = 0
         for board in self.cluster.boards.values():
             self._boards_by_type.setdefault(board.model.name, []).append(board)
-        self._total_blocks = sum(
-            len(board.blocks) for board in self.cluster.boards.values()
-        )
+            self._total_blocks += len(board.blocks)
+            self._free_blocks += board.free_blocks
+            board.subscribe(self._on_occupancy)
         self._feasible_types: dict[str, list] = {}
         #: (due_s, breaker) half-open probes in synchronous mode.
         self._due: list = []
@@ -514,8 +517,10 @@ class ServingFrontend:
         """Occupied fraction of every virtual block in the cluster."""
         if not self._total_blocks:
             return 0.0
-        free = sum(board.free_blocks for board in self.cluster.boards.values())
-        return 1.0 - free / self._total_blocks
+        return 1.0 - self._free_blocks / self._total_blocks
+
+    def _on_occupancy(self, board, old_free: int) -> None:
+        self._free_blocks += board.free_blocks - old_free
 
     def _update_brownout(self, now: float) -> None:
         if not self.params.brownout_enabled:

@@ -7,14 +7,12 @@ tests pin the experiment output bit-for-bit against snapshots captured from
 the pre-overhaul exhaustive-rescan implementation — throughputs are
 compared by ``repr`` so even a last-ulp drift fails.
 
-The reduced-scale snapshot runs in the default test path; the full
-10-composition x 3-seed run is ``slow``-marked (see ``pyproject.toml``).
+Both the reduced-scale snapshot and the full 10-composition x 3-seed run
+are in the default test path.
 """
 
 import json
 import pathlib
-
-import pytest
 
 from repro.experiments.fig12 import average_speedups, run_fig12
 
@@ -41,6 +39,5 @@ def test_fig12_rows_match_pre_overhaul_golden_small():
     _check_against(GOLDEN_DIR / "fig12_small.json")
 
 
-@pytest.mark.slow
 def test_fig12_rows_match_pre_overhaul_golden_full():
     _check_against(GOLDEN_DIR / "fig12_full.json")

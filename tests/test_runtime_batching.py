@@ -130,6 +130,17 @@ class TestBatchExecutor:
         executor.flush()
         assert all(task.output is not None for task in tasks)
 
+    def test_weights_shared_and_read_only(self):
+        """Every executor reads one process-wide copy of a model's weights
+        per seed; a write into it would leak into every other run."""
+        first = BatchExecutor()._weights_for(MODEL)
+        assert BatchExecutor()._weights_for(MODEL) is first
+        other_seed = BatchExecutor(BatchingParameters(weight_seed=1))
+        assert other_seed._weights_for(MODEL) is not first
+        for array in first.w + first.u + first.b:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
     def test_stats_snapshot(self):
         executor = BatchExecutor(BatchingParameters(max_batch=2))
         for i in range(4):

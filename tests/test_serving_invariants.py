@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterSimulator, paper_cluster
+from repro.errors import AllocationError
 from repro.faults import FaultInjector, FaultModelParameters
 from repro.runtime import Catalog, build_system
 from repro.serving import (
@@ -73,6 +74,12 @@ def _run_storm(catalog, seed, rate_per_s=4000.0, count=150, mtbf_s=None,
     return cluster, system, frontend, result
 
 
+def _recounted_utilisation(cluster) -> float:
+    boards = cluster.boards.values()
+    free = sum(board.recount_free_blocks() for board in boards)
+    return 1.0 - free / sum(len(board.blocks) for board in boards)
+
+
 def _assert_invariants(cluster, system, frontend, result):
     stats = frontend.stats
     # 1. Accounting identity: every offered request reached exactly one
@@ -119,6 +126,8 @@ def _assert_invariants(cluster, system, frontend, result):
         assert depth == 0, f"{model} queue depth leaked: {depth}"
     for model, queue in frontend._queued.items():
         assert not queue, f"{model} queue not drained"
+    # 7. Brownout's running utilisation equals a recount.
+    assert frontend.utilisation() == _recounted_utilisation(cluster)
 
 
 class TestServingInvariants:
@@ -169,3 +178,44 @@ class TestServingInvariants:
         stats = frontend.stats
         assert stats.completed > 0
         assert stats.slo_attainment() >= 0.9
+
+
+class TestUtilisationCounter:
+    """``utilisation()`` reads a running free-block total that board
+    occupancy notifications keep; it must always equal a recount."""
+
+    def test_random_deploy_evict_fail_repair_reset(self, catalog):
+        cluster = paper_cluster()
+        system = build_system("proposed", cluster, catalog)
+        controller = system.controller
+        frontend = ServingFrontend(system)
+        boards = list(cluster.boards.values())
+        rng = random.Random(11)
+        live, seen, now = [], set(), 0.0
+        assert frontend.utilisation() == 0.0
+        for _ in range(400):
+            now += 0.01
+            action = rng.random()
+            if action < 0.45:
+                try:
+                    deployment, _ = controller.deploy(rng.choice(MODELS), now=now)
+                except AllocationError:
+                    continue
+                live.append(deployment)
+                seen.add("deploy")
+            elif action < 0.75:
+                if not live:
+                    continue
+                controller.evict(live.pop(rng.randrange(len(live))))
+                seen.add("evict")
+            elif action < 0.85:
+                controller.on_board_failure(rng.choice(boards), now)
+                seen.add("fail")
+            elif action < 0.97:
+                controller.on_board_repair(rng.choice(boards), now)
+                seen.add("repair")
+            else:
+                cluster.reset()
+                seen.add("reset")
+            assert frontend.utilisation() == _recounted_utilisation(cluster)
+        assert seen == {"deploy", "evict", "fail", "repair", "reset"}
