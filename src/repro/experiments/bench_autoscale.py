@@ -42,6 +42,7 @@ from ..serving import Request, ServingFrontend, ServingParameters
 from ..units import ms
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from .bench_gate import gate_block
 
 #: Weighted round-robin model pattern: the stream leans on the slowest
 #: model (lstm-h256-t150, ~1200 req/s per single deployment) so its
@@ -324,20 +325,14 @@ def run_bench(
             "max_units": MAX_UNITS,
         },
         "traces": results,
-        "gate": {
-            "slo_margin_pp": GATE_SLO_MARGIN_PP,
-            "savings_floor": GATE_SAVINGS_FLOOR,
-            "per_trace": {
-                r["trace"]: {
-                    "slo_delta_pp": r["slo_delta_pp"],
-                    "replica_second_savings": r["replica_second_savings"],
-                    "pass": r["pass"],
-                }
-                for r in results
-            },
-            "pass": all(r["pass"] for r in results),
-        },
     }
+    exact = {
+        f"{r['trace']}.{key}": r[key]
+        for r in results
+        for key in ("slo_delta_pp", "replica_second_savings")
+    }
+    checks = {f"{r['trace']}.pass": r["pass"] for r in results}
+    report["gate"] = gate_block(report["workload"], exact, checks)
     path = pathlib.Path(output)
     path.write_text(json.dumps(report, indent=1) + "\n")
     return report

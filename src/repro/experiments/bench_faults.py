@@ -6,7 +6,8 @@ failures injected, deployments lost, recoveries completed (and how many
 had to scale down), lost work, placement availability and the tail latency
 the fault process inflicts — plus a no-fault baseline run for reference.
 The same seeded timeline drives every sweep point, so results are
-reproducible bit for bit.  Regenerate with::
+reproducible bit for bit.  The report's ``gate`` block requires every
+faulty point to recover all of its lost deployments.  Regenerate with::
 
     PYTHONPATH=src python -m repro.experiments.bench_faults           # full
     PYTHONPATH=src python -m repro.experiments.bench_faults --smoke   # CI
@@ -25,6 +26,7 @@ from ..faults import FaultInjector, FaultModelParameters
 from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..vital import VitalCompiler
+from .bench_gate import gate_block
 
 #: Small serving models (one of each per round-robin turn).
 STREAM_MODELS = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
@@ -39,6 +41,15 @@ FULL_TASK_COUNT = 240
 MTBF_SWEEP_S = (0.5, 1.0, 2.0, None)
 MTTR_S = 0.08
 FAULT_SEED = 7
+
+#: Per-MTBF results the gate compares exactly.
+EXACT_KEYS = (
+    "availability",
+    "deployments_failed",
+    "recoveries",
+    "lost_work_s",
+    "p99_latency_s",
+)
 
 
 def _build_tasks(task_count: int) -> list:
@@ -166,6 +177,16 @@ def run_bench(
             ),
         },
     }
+    exact = {
+        f"mtbf{p['mtbf_s']:g}.{key}": p[key]
+        for p in faulty
+        for key in EXACT_KEYS
+    }
+    checks = {
+        f"mtbf{p['mtbf_s']:g}.recovered_all": p["recovery_rate"] >= 1.0
+        for p in faulty
+    }
+    report["gate"] = gate_block(report["workload"], exact, checks)
     path = pathlib.Path(output)
     path.write_text(json.dumps(report, indent=1) + "\n")
     return report

@@ -23,6 +23,7 @@ import time
 
 from ..perf.profiling import PROFILER
 from ..workloads import TABLE1_COMPOSITIONS
+from .bench_gate import gate_block
 from .fig12 import average_speedups, run_fig12
 
 #: Full-scale wall-clock of the pre-overhaul runtime on the dev box, kept as
@@ -34,6 +35,15 @@ BASELINE_FIND_PLACEMENT_CALLS = 2_200_000
 #: Reduced scale for CI smoke runs (same compositions, shorter streams).
 SMOKE_TASK_COUNT = 30
 SMOKE_SEEDS = (1,)
+
+#: Placement/dispatch work counters the gate compares exactly.
+COUNTER_KEYS = (
+    "find_placement_calls",
+    "deploy_calls",
+    "fast_rejects",
+    "try_start_attempts",
+    "watermark_skips",
+)
 
 
 def run_bench(
@@ -97,6 +107,13 @@ def run_bench(
             "vs_restricted": vs_restricted,
         },
     }
+    exact = {"events": report["events"]}
+    for key in COUNTER_KEYS:
+        exact[key] = report["placement"][key]
+    for row in report["throughput_rows"]:
+        for system, value in row["throughput"].items():
+            exact[f"set{row['set']}.{system}"] = value
+    report["gate"] = gate_block(report["scale"], exact, checks={})
     path = pathlib.Path(output)
     path.write_text(json.dumps(report, indent=1) + "\n")
     return report

@@ -28,6 +28,7 @@ from ..perf.profiling import PROFILER
 from ..runtime import Catalog, build_system
 from ..vital import VitalCompiler
 from ..workloads import TABLE1_COMPOSITIONS, generate_workload
+from .bench_gate import gate_block
 
 #: Full sweep: the ROADMAP's 100x-and-beyond cluster sizes.
 FULL_BOARDS = (4, 64, 256, 1000)
@@ -51,6 +52,18 @@ ARRIVAL_RATE_PER_S = 1e5
 #: smallest and largest sweep points (0.5 = "at most half as fast as
 #: linear"; the router lands orders of magnitude under it).
 SUBLINEAR_FRACTION = 0.5
+
+#: Per-point pod-run values the gate compares exactly: the dispatch and
+#: placement work counters (a re-quadratic dispatcher shows up as a
+#: count) and the schedule itself.
+EXACT_KEYS = (
+    "events",
+    "placement_searches",
+    "boards_probed",
+    "try_start_attempts",
+    "watermark_skips",
+    "schedule_digest",
+)
 
 
 def _schedule_digest(result) -> str:
@@ -95,6 +108,8 @@ def _run_point(catalog, board_count: int, task_count: int,
             stats.boards_probed / searches if searches else 0.0
         ),
         "schedule_digest": _schedule_digest(result),
+        "try_start_attempts": counters.get("simulator.try_start_attempts", 0),
+        "watermark_skips": counters.get("simulator.watermark_skips", 0),
     }
 
 
@@ -132,14 +147,6 @@ def run_bench(
         if smallest["pod"]["probes_per_search"]
         else 0.0
     )
-    gate = {
-        "pod_flat_identical": all(p["identical_to_flat"] for p in points),
-        "board_growth": board_growth,
-        "probe_growth": probe_growth,
-        "sublinear_fraction": SUBLINEAR_FRACTION,
-        "sublinear": probe_growth <= SUBLINEAR_FRACTION * board_growth,
-    }
-    gate["pass"] = gate["pod_flat_identical"] and gate["sublinear"]
     report = {
         "scale": {
             "boards": list(boards),
@@ -149,8 +156,21 @@ def run_bench(
             "seed": SEED,
         },
         "points": points,
-        "gate": gate,
+        "board_growth": board_growth,
+        "probe_growth": probe_growth,
     }
+    exact = {
+        f"boards{point['boards']}.{key}": point["pod"][key]
+        for point in points
+        for key in EXACT_KEYS
+    }
+    checks = {
+        "pod_flat_identical": all(p["identical_to_flat"] for p in points),
+        "sublinear_probe_growth": (
+            probe_growth <= SUBLINEAR_FRACTION * board_growth
+        ),
+    }
+    report["gate"] = gate_block(report["scale"], exact, checks)
     path = pathlib.Path(output)
     path.write_text(json.dumps(report, indent=1) + "\n")
     return report
@@ -186,11 +206,10 @@ def main(argv=None) -> None:
             f"({'identical' if point['identical_to_flat'] else 'DIVERGED'} "
             f"vs flat)"
         )
-    gate = report["gate"]
     print(
-        f"gate: {'PASS' if gate['pass'] else 'FAIL'} "
-        f"(probe growth {gate['probe_growth']:.2f}x vs board growth "
-        f"{gate['board_growth']:.0f}x)"
+        f"gate: {'PASS' if report['gate']['pass'] else 'FAIL'} "
+        f"(probe growth {report['probe_growth']:.2f}x vs board growth "
+        f"{report['board_growth']:.0f}x)"
     )
     print(f"report written to {args.output}")
 

@@ -33,6 +33,7 @@ from ..runtime import Catalog, build_system
 from ..serving import Request, ServingFrontend, ServingParameters
 from ..vital import VitalCompiler
 from ..workloads import ARRIVAL_PROCESSES, arrival_process
+from .bench_gate import gate_block
 
 #: Small serving models (one of each per round-robin turn).
 STREAM_MODELS = ("gru-h512-t1", "lstm-h256-t150", "lstm-h512-t25")
@@ -263,19 +264,16 @@ def run_bench(
         },
         "sweep": sweep,
         "no_frontend_reference": reference,
-        "gate": {
-            "load_factor": gate_point["load_factor"],
-            "mtbf_s": gate_point["mtbf_s"],
-            "slo_admitted": gate_point["slo_admitted"],
-            "slo_floor": GATE_SLO_FLOOR,
-            "p99_latency_s": gate_point["p99_latency_s"],
-            "p99_bound_s": DEADLINE_S,
-            "pass": (
-                gate_point["slo_admitted"] >= GATE_SLO_FLOOR
-                and gate_point["p99_latency_s"] <= DEADLINE_S
-            ),
-        },
     }
+    slo, p99 = gate_point["slo_admitted"], gate_point["p99_latency_s"]
+    report["gate"] = gate_block(
+        report["workload"],
+        exact={"slo_admitted": slo, "p99_latency_s": p99},
+        checks={
+            "slo_admitted_floor": slo >= GATE_SLO_FLOOR,
+            "p99_within_deadline": p99 <= DEADLINE_S,
+        },
+    )
     path = pathlib.Path(output)
     path.write_text(json.dumps(report, indent=1) + "\n")
     return report
@@ -313,10 +311,10 @@ def main(argv=None) -> None:
         )
     gate = report["gate"]
     print(
-        f"gate (x{gate['load_factor']:g} + faults): "
-        f"SLO {gate['slo_admitted']:.3f} >= {gate['slo_floor']} "
-        f"and p99 {gate['p99_latency_s'] * 1e3:.1f} ms <= "
-        f"{gate['p99_bound_s'] * 1e3:.0f} ms -> "
+        f"gate (x{GATE_LOAD_FACTOR:g} + faults): "
+        f"SLO {gate['exact']['slo_admitted']:.3f} >= {GATE_SLO_FLOOR} "
+        f"and p99 {gate['exact']['p99_latency_s'] * 1e3:.1f} ms <= "
+        f"{DEADLINE_S * 1e3:.0f} ms -> "
         f"{'PASS' if gate['pass'] else 'FAIL'}"
     )
     print(f"report written to {args.output}")
